@@ -66,6 +66,8 @@ void BM_InitialConvergence(benchmark::State& state) {
 }
 BENCHMARK(BM_InitialConvergence);
 
+/// Fail one link and reconverge; the restore back to the snapshot runs
+/// untimed (BM_SnapshotRestore times it).
 void BM_FailureReconvergence(benchmark::State& state) {
   auto& e = episode10();
   const auto snap = e.net.snapshot();
@@ -74,10 +76,28 @@ void BM_FailureReconvergence(benchmark::State& state) {
   for (auto _ : state) {
     e.net.fail_link(rng.pick(pool));
     e.net.reconverge();
+    state.PauseTiming();
     e.net.restore(snap);
+    state.ResumeTiming();
   }
 }
 BENCHMARK(BM_FailureReconvergence);
+
+/// Restore alone: one link failed and reconverged outside the timed region.
+void BM_SnapshotRestore(benchmark::State& state) {
+  auto& e = episode10();
+  const auto snap = e.net.snapshot();
+  util::Rng rng(5);
+  const auto pool = e.before.probed_links();
+  for (auto _ : state) {
+    state.PauseTiming();
+    e.net.fail_link(rng.pick(pool));
+    e.net.reconverge();
+    state.ResumeTiming();
+    e.net.restore(snap);
+  }
+}
+BENCHMARK(BM_SnapshotRestore);
 
 void BM_FullMeshTraceroute(benchmark::State& state) {
   auto& e = episode10();

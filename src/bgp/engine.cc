@@ -1,6 +1,7 @@
 #include "bgp/engine.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
 #include <stdexcept>
 
@@ -16,6 +17,22 @@ constexpr std::uint64_t kEventBudget = 200'000'000;
 
 std::uint64_t work_key(RouterId r, PrefixId p) {
   return (static_cast<std::uint64_t>(r.value()) << 32) | p.value();
+}
+
+// Snapshot generations are unique across every engine in the process, so
+// a snapshot of another engine (each exp::Runner worker owns one) can
+// never be mistaken for the one this engine's log describes.
+std::atomic<std::uint64_t> next_generation{1};
+
+/// Sets `to[k]` to `from[k]`, erasing it where `from` has no entry.
+template <typename Map>
+void copy_back(Map& to, const Map& from, typename Map::key_type k) {
+  auto it = from.find(k);
+  if (it != from.end()) {
+    to.insert_or_assign(k, it->second);
+  } else {
+    to.erase(k);
+  }
 }
 }  // namespace
 
@@ -104,12 +121,17 @@ std::optional<Route> BgpEngine::decide(RouterId r, PrefixId p) const {
 void BgpEngine::process(RouterId r, PrefixId p) {
   const std::optional<Route> best = decide(r, p);
 
+  // Write the loc-RIB only on change, so the restore log stays small.
   auto& rib = loc_rib_[r.value()];
+  bool changed = false;
   if (best) {
-    rib[p.value()] = *best;
+    auto [it, inserted] = rib.try_emplace(p.value(), *best);
+    changed = inserted || !(it->second == *best);
+    if (!inserted && changed) it->second = *best;
   } else {
-    rib.erase(p.value());
+    changed = rib.erase(p.value()) != 0;
   }
+  if (changed) log_change(loc_log_, work_key(r, p));
 
   if (!topo_.router(r).up) return;
   const AsId my_as = topo_.as_of_router(r);
@@ -178,6 +200,7 @@ void BgpEngine::set_adj_in(RouterId at, PrefixId p, bool ebgp,
   }
   if (!changed) return;
 
+  log_change(adj_log_, k);
   enqueue(at, p);
   if (record_message && ebgp && tapped_as_.valid() &&
       topo_.as_of_router(at) == tapped_as_) {
@@ -190,7 +213,10 @@ void BgpEngine::set_adj_in(RouterId at, PrefixId p, bool ebgp,
 void BgpEngine::erase_session(RouterId at, bool ebgp, std::uint32_t sid) {
   for (std::uint32_t p = 0; p < topo_.num_ases(); ++p) {
     const std::uint64_t k = key(at, PrefixId{p}, ebgp, sid);
-    if (adj_in_.erase(k) != 0) enqueue(at, PrefixId{p});
+    if (adj_in_.erase(k) != 0) {
+      log_change(adj_log_, k);
+      enqueue(at, PrefixId{p});
+    }
   }
 }
 
@@ -218,9 +244,13 @@ void BgpEngine::on_router_state_change(RouterId r) {
   const AsId as = topo_.as_of_router(r);
   if (!topo_.router(r).up) {
     // The router's own state is dead weight; drop it silently.
+    for (const auto& [p, route] : loc_rib_[r.value()]) {
+      log_change(loc_log_, work_key(r, PrefixId{p}));
+    }
     loc_rib_[r.value()].clear();
     for (auto it = adj_in_.begin(); it != adj_in_.end();) {
       if (static_cast<std::uint32_t>(it->first >> 48) == r.value()) {
+        log_change(adj_log_, it->first);
         it = adj_in_.erase(it);
       } else {
         ++it;
@@ -264,18 +294,60 @@ std::optional<Route> BgpEngine::best(RouterId r, PrefixId p) const {
   return it->second;
 }
 
-BgpEngine::Snapshot BgpEngine::snapshot() const {
-  assert(queue_.empty() && "snapshot must be taken at convergence");
-  return Snapshot{adj_in_, loc_rib_};
+void BgpEngine::log_change(std::vector<std::uint64_t>& log, std::uint64_t k) {
+  if (!logging_) return;
+  if (adj_log_.size() + loc_log_.size() < log_limit_) {
+    log.push_back(k);
+    return;
+  }
+  // Rolling back more keys than the snapshot holds would cost more than
+  // copying it whole: stop logging, restore() takes the full copy.
+  logging_ = false;
+  adj_log_.clear();
+  loc_log_.clear();
 }
 
-void BgpEngine::restore(const Snapshot& snap) {
-  adj_in_ = snap.adj_in;
-  loc_rib_ = snap.loc_rib;
+void BgpEngine::start_log(const Snapshot& snap) {
+  logging_ = snap.generation != 0;
+  log_generation_ = snap.generation;
+  log_limit_ = snap.adj_in.size();
+  for (const auto& rib : snap.loc_rib) log_limit_ += rib.size();
+  adj_log_.clear();
+  loc_log_.clear();
+}
+
+BgpEngine::Snapshot BgpEngine::snapshot() {
+  assert(queue_.empty() && "snapshot must be taken at convergence");
+  Snapshot snap{adj_in_, loc_rib_, next_generation.fetch_add(1)};
+  start_log(snap);
+  return snap;
+}
+
+BgpEngine::RestoreStats BgpEngine::restore(const Snapshot& snap) {
+  RestoreStats stats;
+  if (logging_ && snap.generation == log_generation_) {
+    for (const std::uint64_t k : adj_log_) copy_back(adj_in_, snap.adj_in, k);
+    for (const std::uint64_t k : loc_log_) {
+      const auto r = static_cast<std::uint32_t>(k >> 32);
+      copy_back(loc_rib_[r], snap.loc_rib[r],
+                static_cast<std::uint32_t>(k & 0xffffffffu));
+    }
+    stats.entries = adj_log_.size() + loc_log_.size();
+    adj_log_.clear();
+    loc_log_.clear();
+  } else {
+    adj_in_ = snap.adj_in;
+    loc_rib_ = snap.loc_rib;
+    // The RIBs now equal `snap`, so the log restarts from it.
+    start_log(snap);
+    stats.entries = log_limit_;
+    stats.full_copy = true;
+  }
   queue_.clear();
   in_queue_.clear();
   filters_.clear();
   messages_.clear();
+  return stats;
 }
 
 }  // namespace netd::bgp

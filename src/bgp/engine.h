@@ -13,6 +13,7 @@
 // withdrawals.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <optional>
@@ -71,14 +72,35 @@ class BgpEngine {
   }
 
   // --- snapshot / restore ---------------------------------------------------
+  using AdjRibIn = std::unordered_map<std::uint64_t, Route>;
+  using LocRib = std::vector<std::unordered_map<std::uint32_t, Route>>;
+
+  /// Full copy of the RIBs. Treat as immutable: `generation` names this
+  /// exact content, process-wide unique (0 = never taken).
   struct Snapshot {
-    std::unordered_map<std::uint64_t, Route> adj_in;
-    std::vector<std::unordered_map<std::uint32_t, Route>> loc_rib;
+    AdjRibIn adj_in;
+    LocRib loc_rib;
+    std::uint64_t generation = 0;
   };
-  [[nodiscard]] Snapshot snapshot() const;
+  /// Must be taken at convergence. Starts the change log that lets
+  /// restore() of this snapshot roll back only the entries changed since.
+  [[nodiscard]] Snapshot snapshot();
+
+  /// What one restore() did: RIB entries written back or erased, and
+  /// whether it fell back to copying the whole snapshot.
+  struct RestoreStats {
+    std::size_t entries = 0;
+    bool full_copy = false;
+  };
   /// Restores RIBs, clears the queue, the filters and the message tap.
-  /// The caller must have restored topology + IGP state first.
-  void restore(const Snapshot& snap);
+  /// The caller must have restored topology + IGP state first. Rolls back
+  /// only the logged keys when `snap` is the engine's latest snapshot and
+  /// the log stayed within the snapshot's size; copies it whole otherwise.
+  RestoreStats restore(const Snapshot& snap);
+
+  /// Read-only views of the RIBs, e.g. to check a restore against `snap`.
+  [[nodiscard]] const AdjRibIn& adj_rib_in() const { return adj_in_; }
+  [[nodiscard]] const LocRib& loc_rib() const { return loc_rib_; }
 
   /// Total (router, prefix) events processed; exposed for benchmarks.
   [[nodiscard]] std::uint64_t events_processed() const { return events_; }
@@ -106,11 +128,25 @@ class BgpEngine {
   /// received withdrawal).
   void erase_session(topo::RouterId at, bool ebgp, std::uint32_t sid);
 
+  /// Appends `k` to `log` (adj_log_ or loc_log_) while logging; keys
+  /// only, duplicates allowed.
+  void log_change(std::vector<std::uint64_t>& log, std::uint64_t k);
+  /// Restarts the log from `snap`, which the RIBs must equal.
+  void start_log(const Snapshot& snap);
+
   const topo::Topology& topo_;
   const igp::IgpState& igp_;
 
-  std::unordered_map<std::uint64_t, Route> adj_in_;
-  std::vector<std::unordered_map<std::uint32_t, Route>> loc_rib_;
+  AdjRibIn adj_in_;
+  LocRib loc_rib_;
+
+  // Off until the first snapshot; off again once the log outgrows the
+  // snapshot (restore then copies the snapshot whole).
+  bool logging_ = false;
+  std::uint64_t log_generation_ = 0;
+  std::size_t log_limit_ = 0;
+  std::vector<std::uint64_t> adj_log_;  // adj-RIB-in keys
+  std::vector<std::uint64_t> loc_log_;  // packed (router << 32 | prefix)
 
   ExportFilters filters_;
 

@@ -2,6 +2,9 @@
 
 #include <cassert>
 
+#include "obs/registry.h"
+#include "obs/span.h"
+
 namespace netd::sim {
 
 using topo::AsId;
@@ -11,7 +14,21 @@ using topo::RouterId;
 
 namespace {
 constexpr std::size_t kMaxHops = 64;
-}
+
+struct SimInstruments {
+  obs::Counter& restore_entries = obs::Registry::global().counter(
+      "netd_sim_restore_entries_total",
+      "BGP RIB entries rolled back by Network::restore");
+  obs::Counter& restore_full = obs::Registry::global().counter(
+      "netd_sim_restore_full_total",
+      "Network::restore calls that copied the whole BGP snapshot back");
+
+  static SimInstruments& get() {
+    static SimInstruments i;
+    return i;
+  }
+};
+}  // namespace
 
 Network::Network(topo::Topology topology)
     : topo_(std::move(topology)), igp_(topo_), bgp_(topo_, igp_) {}
@@ -159,6 +176,11 @@ void Network::fail_router(RouterId r) {
   bgp_.on_router_state_change(r);
 }
 
+void Network::reconverge() {
+  obs::Span span("sim.reconverge");
+  bgp_.run_to_convergence();
+}
+
 void Network::misconfigure_export(RouterId r, LinkId l, PrefixId p) {
   bgp_.add_export_filter(r, l, p);
 }
@@ -180,7 +202,7 @@ void Network::record_igp_down(LinkId l) {
   igp_events_.push_back(l);
 }
 
-Network::Snapshot Network::snapshot() const {
+Network::Snapshot Network::snapshot() {
   Snapshot snap;
   snap.bgp = bgp_.snapshot();
   snap.link_up.reserve(topo_.num_links());
@@ -190,20 +212,36 @@ Network::Snapshot Network::snapshot() const {
   return snap;
 }
 
-void Network::restore(const Snapshot& snap) {
+bgp::BgpEngine::RestoreStats Network::restore(const Snapshot& snap) {
+  obs::Span span("sim.restore");
   assert(snap.link_up.size() == topo_.num_links());
   assert(snap.router_up.size() == topo_.num_routers());
+  // Only an AS whose routers or intradomain links flip needs a new SPF:
+  // the IGP state is always in sync with the current flags.
+  std::vector<bool> dirty(topo_.num_ases(), false);
   for (std::size_t i = 0; i < snap.link_up.size(); ++i) {
-    topo_.set_link_up(LinkId{static_cast<std::uint32_t>(i)}, snap.link_up[i]);
+    const LinkId l{static_cast<std::uint32_t>(i)};
+    const auto& link = topo_.link(l);
+    if (link.up == snap.link_up[i]) continue;
+    if (!link.interdomain) dirty[topo_.as_of_router(link.a).value()] = true;
+    topo_.set_link_up(l, snap.link_up[i]);
   }
   for (std::size_t i = 0; i < snap.router_up.size(); ++i) {
-    topo_.set_router_up(RouterId{static_cast<std::uint32_t>(i)},
-                        snap.router_up[i]);
+    const RouterId r{static_cast<std::uint32_t>(i)};
+    if (topo_.router(r).up == snap.router_up[i]) continue;
+    dirty[topo_.as_of_router(r).value()] = true;
+    topo_.set_router_up(r, snap.router_up[i]);
   }
-  igp_.recompute_all();
-  bgp_.restore(snap.bgp);
+  for (std::size_t a = 0; a < dirty.size(); ++a) {
+    if (dirty[a]) igp_.recompute_as(AsId{static_cast<std::uint32_t>(a)});
+  }
+  const auto stats = bgp_.restore(snap.bgp);
+  auto& ins = SimInstruments::get();
+  ins.restore_entries.inc(stats.entries);
+  if (stats.full_copy) ins.restore_full.inc();
   recording_ = false;
   igp_events_.clear();
+  return stats;
 }
 
 }  // namespace netd::sim

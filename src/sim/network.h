@@ -63,7 +63,7 @@ class Network {
   /// over interdomain link `l` (paper §3.1 / §4 "Failure scenarios").
   void misconfigure_export(topo::RouterId r, topo::LinkId l, topo::PrefixId p);
 
-  void reconverge() { bgp_.run_to_convergence(); }
+  void reconverge();
 
   // --- operator (AS-X) observations ------------------------------------------
 
@@ -85,8 +85,12 @@ class Network {
     std::vector<bool> link_up;
     std::vector<bool> router_up;
   };
-  [[nodiscard]] Snapshot snapshot() const;
-  void restore(const Snapshot& snap);
+  /// Must be taken at convergence; restoring the latest snapshot costs
+  /// what the failures since touched (see BgpEngine::restore).
+  [[nodiscard]] Snapshot snapshot();
+  /// Rolls links, routers, IGP (only the ASes whose flags differ) and
+  /// BGP back to `snap`, and stops recording.
+  bgp::BgpEngine::RestoreStats restore(const Snapshot& snap);
 
  private:
   void record_igp_down(topo::LinkId l);

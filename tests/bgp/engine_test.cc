@@ -178,6 +178,44 @@ TEST(BgpEngine, SnapshotRestoreRoundTrips) {
   EXPECT_EQ(*after, *before);
 }
 
+TEST(BgpEngine, ChangesBeforeTheSnapshotAreNotLogged) {
+  Chain c;
+  igp::IgpState igp(c.t);
+  BgpEngine bgp(c.t, igp);
+  bgp.converge_initial();
+  c.t.set_link_up(c.l01, false);
+  bgp.on_link_state_change(c.l01);
+  bgp.run_to_convergence();
+  const auto snap = bgp.snapshot();
+  const auto stats = bgp.restore(snap);
+  EXPECT_FALSE(stats.full_copy);
+  EXPECT_EQ(stats.entries, 0u);
+}
+
+TEST(BgpEngine, LogOutgrowingTheSnapshotFallsBackToFullCopy) {
+  Chain c;
+  igp::IgpState igp(c.t);
+  BgpEngine bgp(c.t, igp);
+  bgp.converge_initial();
+  const auto snap = bgp.snapshot();
+  // Flap the same session until the logged keys outnumber the snapshot.
+  std::size_t snap_size = snap.adj_in.size();
+  for (const auto& rib : snap.loc_rib) snap_size += rib.size();
+  for (std::size_t i = 0; i <= snap_size; ++i) {
+    c.t.set_link_up(c.l12, false);
+    bgp.on_link_state_change(c.l12);
+    bgp.run_to_convergence();
+    c.t.set_link_up(c.l12, true);
+    bgp.on_link_state_change(c.l12);
+    bgp.run_to_convergence();
+  }
+  const auto stats = bgp.restore(snap);
+  EXPECT_TRUE(stats.full_copy);
+  EXPECT_EQ(stats.entries, snap_size);
+  EXPECT_TRUE(bgp.adj_rib_in() == snap.adj_in);
+  EXPECT_TRUE(bgp.loc_rib() == snap.loc_rib);
+}
+
 /// Diamond: stub AS3 multihomed to transits AS1 (short) and AS2 (long
 /// path to AS0's customer cone).
 TEST(BgpEngine, PrefersCustomerOverPeerRoute) {

@@ -98,9 +98,71 @@ TEST_P(RoutingProperties, TracesMatchBgpAsPaths) {
   }
 }
 
+/// Everything Network::restore must bring back: both BGP RIBs, every link
+/// and router flag, and the IGP distance of every same-AS router pair.
+struct RoutingState {
+  bgp::BgpEngine::AdjRibIn adj_in;
+  bgp::BgpEngine::LocRib loc_rib;
+  std::vector<bool> link_up, router_up;
+  std::vector<int> igp_dist;
+
+  explicit RoutingState(const sim::Network& net)
+      : adj_in(net.bgp().adj_rib_in()), loc_rib(net.bgp().loc_rib()) {
+    const auto& topo = net.topology();
+    for (const auto& l : topo.links()) link_up.push_back(l.up);
+    for (const auto& r : topo.routers()) router_up.push_back(r.up);
+    for (const auto& as : topo.ases()) {
+      for (RouterId a : as.routers) {
+        for (RouterId b : as.routers) igp_dist.push_back(net.igp().distance(a, b));
+      }
+    }
+  }
+};
+
+/// Field by field, so a failure names the part that was not rolled back.
+void expect_same_state(const RoutingState& got, const RoutingState& want) {
+  EXPECT_TRUE(got.adj_in == want.adj_in) << "adj-RIB-in differs";
+  EXPECT_TRUE(got.loc_rib == want.loc_rib) << "loc-RIB differs";
+  EXPECT_EQ(got.link_up, want.link_up);
+  EXPECT_EQ(got.router_up, want.router_up);
+  EXPECT_EQ(got.igp_dist, want.igp_dist);
+}
+
+/// Injects 1-3 random failures of any kind; reconverges unless the draw
+/// says to restore mid-convergence.
+void inject_random_failures(sim::Network& net, util::Rng& rng) {
+  const auto& topo = net.topology();
+  const auto last = [](std::size_t n) {
+    return static_cast<std::uint32_t>(n - 1);
+  };
+  std::vector<LinkId> inter;
+  for (const auto& l : topo.links()) {
+    if (l.interdomain) inter.push_back(l.id);
+  }
+  for (std::uint32_t i = rng.uniform(1, 3); i > 0; --i) {
+    switch (rng.uniform(0, 2)) {
+      case 0:
+        net.fail_link(LinkId{rng.uniform(0, last(topo.num_links()))});
+        break;
+      case 1:
+        net.fail_router(RouterId{rng.uniform(0, last(topo.num_routers()))});
+        break;
+      default: {
+        const LinkId l = rng.pick(inter);
+        const RouterId r = rng.bernoulli(0.5) ? topo.link(l).a : topo.link(l).b;
+        net.misconfigure_export(r, l,
+                                PrefixId{rng.uniform(0, last(topo.num_ases()))});
+        break;
+      }
+    }
+  }
+  if (rng.bernoulli(0.75)) net.reconverge();
+}
+
 TEST_P(RoutingProperties, SnapshotRestoreIsExact) {
   const auto& topo = net_->topology();
   const auto snap = net_->snapshot();
+  const RoutingState base(*net_);
   util::Rng rng(GetParam() * 13 + 7);
   // Collect reference traces.
   std::vector<RouterId> stubs;
@@ -120,7 +182,43 @@ TEST_P(RoutingProperties, SnapshotRestoreIsExact) {
   for (const auto& l : topo.links()) all.push_back(l.id);
   for (LinkId l : rng.sample(all, 3)) net_->fail_link(l);
   net_->reconverge();
-  net_->restore(snap);
+  EXPECT_FALSE(net_->restore(snap).full_copy);
+  for (std::size_t i = 0; i < pairs.size(); ++i) {
+    EXPECT_EQ(net_->trace(pairs[i].first, pairs[i].second).hops, refs[i]);
+  }
+  expect_same_state(RoutingState(*net_), base);
+
+  // Random mixes of link, router and export failures, some restored
+  // before reconvergence, some restored twice: every restore of the
+  // latest snapshot rolls back only the log, and exactly.
+  for (int round = 0; round < 12; ++round) {
+    SCOPED_TRACE(round);
+    inject_random_failures(*net_, rng);
+    EXPECT_FALSE(net_->restore(snap).full_copy);
+    expect_same_state(RoutingState(*net_), base);
+    if (rng.bernoulli(0.25)) {
+      EXPECT_EQ(net_->restore(snap).entries, 0u);
+      expect_same_state(RoutingState(*net_), base);
+    }
+  }
+
+  // A newer snapshot of a failed state, then the older one restored: the
+  // log describes neither, so both directions copy the snapshot whole.
+  inject_random_failures(*net_, rng);
+  net_->reconverge();
+  const auto newer = net_->snapshot();
+  const RoutingState newer_state(*net_);
+  inject_random_failures(*net_, rng);
+  EXPECT_TRUE(net_->restore(snap).full_copy);
+  expect_same_state(RoutingState(*net_), base);
+  EXPECT_TRUE(net_->restore(newer).full_copy);
+  expect_same_state(RoutingState(*net_), newer_state);
+  EXPECT_TRUE(net_->restore(snap).full_copy);
+  expect_same_state(RoutingState(*net_), base);
+  // The full copy restarts the log from `snap`.
+  inject_random_failures(*net_, rng);
+  EXPECT_FALSE(net_->restore(snap).full_copy);
+  expect_same_state(RoutingState(*net_), base);
   for (std::size_t i = 0; i < pairs.size(); ++i) {
     EXPECT_EQ(net_->trace(pairs[i].first, pairs[i].second).hops, refs[i]);
   }

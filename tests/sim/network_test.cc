@@ -180,5 +180,34 @@ TEST_F(TinyNetwork, TraceFromDownSourceFails) {
   EXPECT_EQ(tr.hops.size(), 1u);
 }
 
+TEST_F(TinyNetwork, SnapshotOfAnotherNetworkRestoresByFullCopy) {
+  // Same topology, independently converged: bit-identical routing state,
+  // but `snap` was not taken by `other`, so its log cannot describe it.
+  Network other(topo::tiny_topology());
+  other.converge();
+  const auto snap = net_.snapshot();
+  other.fail_router(other.topology().as_of(AsId{0}).routers[1]);
+  other.reconverge();
+
+  const auto stats = other.restore(snap);
+  EXPECT_TRUE(stats.full_copy);
+  EXPECT_TRUE(other.bgp().adj_rib_in() == snap.bgp.adj_in);
+  EXPECT_TRUE(other.bgp().loc_rib() == snap.bgp.loc_rib);
+  for (const auto& r : other.topology().routers()) EXPECT_TRUE(r.up);
+  EXPECT_EQ(other.trace(stub_router(4), stub_router(6)).hops,
+            net_.trace(stub_router(4), stub_router(6)).hops);
+
+  // The full copy made `other` equal to `snap`, so from here on its own
+  // log describes it: the next restore rolls back only what changed.
+  other.fail_link(other.trace(stub_router(4), stub_router(6)).links.front());
+  other.reconverge();
+  const auto again = other.restore(snap);
+  EXPECT_FALSE(again.full_copy);
+  EXPECT_GT(again.entries, 0u);
+  EXPECT_LT(again.entries, stats.entries);
+  EXPECT_TRUE(other.bgp().adj_rib_in() == snap.bgp.adj_in);
+  EXPECT_TRUE(other.bgp().loc_rib() == snap.bgp.loc_rib);
+}
+
 }  // namespace
 }  // namespace netd::sim
