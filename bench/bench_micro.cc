@@ -1,6 +1,6 @@
 // google-benchmark micro-benchmarks: raw algorithm cost on the paper-scale
 // topology (BGP convergence, traceroute mesh, graph build, each diagnosis
-// algorithm).
+// algorithm), plus the graph build on bench_scale's 2000-AS Internet.
 #include <benchmark/benchmark.h>
 
 #include <map>
@@ -11,8 +11,10 @@
 #include "exp/runner.h"
 #include "lg/looking_glass.h"
 #include "probe/prober.h"
+#include "probe/synthetic.h"
 #include "sim/network.h"
 #include "topo/generator.h"
+#include "topo/random_internet.h"
 #include "util/rng.h"
 
 using namespace netd;
@@ -114,6 +116,49 @@ void BM_BuildDiagnosisGraph(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BuildDiagnosisGraph)->Arg(0)->Arg(1);
+
+/// bench_scale's 2000-AS instance (its random_internet parameters and
+/// sensor draw: 73 random stubs) measured by the synthetic prober, with
+/// 8 random probed links down at T+ — the shape of one Internet-scale
+/// diagnosis.
+struct InternetEpisode {
+  topo::Topology topo;
+  probe::Mesh before, after;
+
+  InternetEpisode() {
+    topo::RandomInternetParams p;  // bench_scale's params_for(2000)
+    p.num_tier1 = 5;
+    p.num_tier2 = 45;
+    p.num_stubs = 2000 - p.num_tier1 - p.num_tier2;
+    p.tier1_routers = 10;
+    p.tier2_routers = 4;
+    p.seed = 42;
+    topo = topo::random_internet(p);
+    util::Rng rng(7);
+    probe::SyntheticProber prober(
+        topo, probe::place_sensors(topo, probe::PlacementKind::kRandomStub,
+                                   16 + 2000 / 35, rng));
+    before = prober.measure();
+    for (auto l : rng.sample(before.probed_links(), 8)) {
+      topo.set_link_up(l, false);
+    }
+    after = prober.measure();
+  }
+};
+
+/// Argument: core::LogicalMode (0 none, 1 per-neighbor, 2 per-prefix).
+void BM_BuildDiagnosisGraphInternet(benchmark::State& state) {
+  static const InternetEpisode e;
+  const auto mode = static_cast<core::LogicalMode>(state.range(0));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(core::build_diagnosis_graph(e.before, e.after, mode));
+  }
+}
+BENCHMARK(BM_BuildDiagnosisGraphInternet)
+    ->Arg(0)
+    ->Arg(1)
+    ->Arg(2)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_Tomo(benchmark::State& state) {
   auto& e = episode10();

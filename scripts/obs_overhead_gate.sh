@@ -5,8 +5,9 @@
 # and a solver-heavy figure bench.
 #
 # Builds two Release trees, runs each bench ND_GATE_RUNS (default 3)
-# times per tree, and compares the *minimum* wall_ms per bench record —
-# min is the stable estimator on noisy CI boxes. Benches run with the
+# times per tree, alternating between the trees run by run, and compares
+# the *minimum* wall_ms per bench record — min is the stable estimator on
+# noisy CI boxes. Benches run with the
 # full observability path armed: ND_BENCH_TRACE=1 makes bench_svc install
 # the span sink and drive the event ring (slow-request threshold 1 ms),
 # so the gate prices distributed tracing on the hot path, not just
@@ -32,15 +33,11 @@ build_tree() { # <dir> <ON|OFF>
   cmake --build "$1" --target $BENCHES >/dev/null
 }
 
-run_benches() { # <dir> <perf.jsonl>
-  rm -f "$2"
-  i=0
-  while [ "$i" -lt "$RUNS" ]; do
-    for b in $BENCHES; do
-      ND_PLACEMENTS=2 ND_TRIALS=8 ND_THREADS=2 ND_PERF_JSON="$2" \
-        ND_BENCH_TRACE=1 "$1/bench/$b" >/dev/null
-    done
-    i=$((i + 1))
+# One run of every bench in one tree, appended to <perf.jsonl>.
+run_benches_once() { # <dir> <perf.jsonl>
+  for b in $BENCHES; do
+    ND_PLACEMENTS=2 ND_TRIALS=8 ND_THREADS=2 ND_PERF_JSON="$2" \
+      ND_BENCH_TRACE=1 "$1/bench/$b" >/dev/null
   done
 }
 
@@ -48,9 +45,19 @@ echo "obs_overhead_gate: building NETD_OBS=ON tree"
 build_tree "$WORK/on" ON
 echo "obs_overhead_gate: building NETD_OBS=OFF tree"
 build_tree "$WORK/off" OFF
-echo "obs_overhead_gate: timing ($RUNS runs per tree)"
-run_benches "$WORK/on" "$WORK/on.jsonl"
-run_benches "$WORK/off" "$WORK/off.jsonl"
+echo "obs_overhead_gate: timing ($RUNS runs per tree, alternating)"
+# ON and OFF runs alternate (ON, OFF, OFF, ON, ON, OFF, ...), so drift on
+# the host over the timing phase lands on both trees alike instead of on
+# whichever tree ran last.
+rm -f "$WORK/on.jsonl" "$WORK/off.jsonl"
+i=0
+while [ "$i" -lt "$RUNS" ]; do
+  if [ $((i % 2)) -eq 0 ]; then order="on off"; else order="off on"; fi
+  for tree in $order; do
+    run_benches_once "$WORK/$tree" "$WORK/$tree.jsonl"
+  done
+  i=$((i + 1))
+done
 
 awk -v limit="$LIMIT" -v on_file="$WORK/on.jsonl" '
   {

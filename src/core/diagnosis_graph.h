@@ -84,7 +84,8 @@ struct DiagnosisGraph {
 };
 
 /// Builds G from the two mesh snapshots (which must cover the same sensor
-/// pairs in the same order). Pairs already unreachable at T− are dropped.
+/// pairs in the same order, every working path with at least its two
+/// sensor hops). Pairs already unreachable at T− are dropped.
 ///
 /// `paris_before`, when provided, is the T− Paris-traceroute snapshot
 /// (index-aligned with `before`): a changed-but-working T+ path that

@@ -172,6 +172,14 @@ std::optional<probe::Mesh> mesh_from_json(const Json& j, std::string* error) {
       if (router >= 0) h.router = topo::RouterId{static_cast<std::uint32_t>(router)};
       p.hops.push_back(std::move(h));
     }
+    // A working path runs sensor to sensor; the graph builder reads both
+    // ends of every ok path.
+    if (p.ok && p.hops.size() < 2) {
+      set_error(error, "mesh path " + std::to_string(i) + " is ok but has " +
+                           std::to_string(p.hops.size()) +
+                           " hops (at least 2 required)");
+      return std::nullopt;
+    }
     p.links.reserve(links->size());
     for (std::size_t k = 0; k < links->size(); ++k) {
       if (!(*links)[k].is_number() || (*links)[k].as_int() < 0) {

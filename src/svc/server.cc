@@ -112,6 +112,29 @@ obs::SpanContext span_parent(const std::optional<obs::TraceContext>& trace) {
   return ctx;
 }
 
+/// Why `round` cannot be diagnosed against `baseline`, or empty when it
+/// can: it must cover the baseline's sensor pairs in the baseline's order,
+/// since the graph builder pairs each T+ path with the T− path at its
+/// index.
+std::string round_mismatch(const probe::Mesh& round,
+                           const probe::Mesh& baseline) {
+  if (round.paths.size() != baseline.paths.size()) {
+    return "covers " + std::to_string(round.paths.size()) +
+           " pairs but the baseline covers " +
+           std::to_string(baseline.paths.size());
+  }
+  for (std::size_t k = 0; k < round.paths.size(); ++k) {
+    const probe::TracePath& r = round.paths[k];
+    const probe::TracePath& b = baseline.paths[k];
+    if (r.src != b.src || r.dst != b.dst) {
+      return "pair " + std::to_string(k) + " is " + std::to_string(r.src) +
+             "->" + std::to_string(r.dst) + " but the baseline's is " +
+             std::to_string(b.src) + "->" + std::to_string(b.dst);
+    }
+  }
+  return {};
+}
+
 }  // namespace
 
 Server::Server(Options opts) : opts_(std::move(opts)) {
@@ -871,11 +894,9 @@ Response Server::handle(const ObserveRequest& req) {
     return ErrorResponse{"session '" + req.session + "' has no baseline",
                          kErrNoBaseline};
   }
-  if (req.mesh.paths.size() != session->ts.baseline().paths.size()) {
-    return ErrorResponse{
-        "mesh covers " + std::to_string(req.mesh.paths.size()) +
-        " pairs but the baseline covers " +
-        std::to_string(session->ts.baseline().paths.size())};
+  if (const auto why = round_mismatch(req.mesh, session->ts.baseline());
+      !why.empty()) {
+    return ErrorResponse{"mesh " + why};
   }
   const core::ControlPlaneObs* cp =
       req.cp.has_value() ? &*req.cp : nullptr;
@@ -922,12 +943,10 @@ Response Server::handle(const ObserveBatchRequest& req) {
         return ErrorResponse{"session '" + req.session + "' has no baseline",
                              kErrNoBaseline};
       }
-      if (item.mesh.paths.size() != session->ts.baseline().paths.size()) {
-        return ErrorResponse{
-            "batch item seq " + std::to_string(item.seq) + " covers " +
-            std::to_string(item.mesh.paths.size()) +
-            " pairs but the baseline covers " +
-            std::to_string(session->ts.baseline().paths.size())};
+      if (const auto why = round_mismatch(item.mesh, session->ts.baseline());
+          !why.empty()) {
+        return ErrorResponse{"batch item seq " + std::to_string(item.seq) +
+                             " " + why};
       }
       const core::ControlPlaneObs* cp =
           item.cp.has_value() ? &*item.cp : nullptr;

@@ -165,6 +165,25 @@ TEST(Protocol, MeshCodecPreservesEveryField) {
   }
 }
 
+TEST(Protocol, MeshCodecRejectsWorkingPathsWithoutBothEnds) {
+  // The graph builder reads the first and last hop of every ok path; a
+  // failed path may stop anywhere, even before its first hop.
+  for (std::size_t hops : {0u, 1u}) {
+    probe::Mesh mesh = sample_mesh();
+    mesh.paths[0].hops.resize(hops);
+    std::string error;
+    EXPECT_FALSE(mesh_from_json(mesh_to_json(mesh), &error).has_value());
+    EXPECT_NE(error.find("mesh path 0 is ok but has " + std::to_string(hops) +
+                         " hops"),
+              std::string::npos)
+        << error;
+  }
+  probe::Mesh mesh = sample_mesh();
+  mesh.paths[1].hops.clear();
+  std::string error;
+  EXPECT_TRUE(mesh_from_json(mesh_to_json(mesh), &error).has_value()) << error;
+}
+
 TEST(Protocol, ControlPlaneCodecRoundTrips) {
   const core::ControlPlaneObs cp = sample_cp();
   std::string error;

@@ -99,6 +99,129 @@ TEST_F(ServerTest, ObserveWithoutSessionOrBaselineIsAnError) {
   EXPECT_NE(err->message.find("baseline"), std::string::npos);
 }
 
+/// Sensor 0 <-> 1 over r1 (AS1) and r2 (AS2); `broken` cuts both paths
+/// after their first router.
+probe::Mesh two_pair_mesh(bool broken = false) {
+  probe::Mesh mesh;
+  for (std::size_t src : {0u, 1u}) {
+    probe::TracePath p;
+    p.src = src;
+    p.dst = 1 - src;
+    p.ok = !broken;
+    p.hops = {{"s" + std::to_string(src), graph::NodeKind::kSensor,
+               static_cast<int>(src) + 1, topo::RouterId{}},
+              {"r" + std::to_string(src + 1), graph::NodeKind::kRouter,
+               static_cast<int>(src) + 1, topo::RouterId{}},
+              {"r" + std::to_string(2 - src), graph::NodeKind::kRouter,
+               2 - static_cast<int>(src), topo::RouterId{}},
+              {"s" + std::to_string(1 - src), graph::NodeKind::kSensor,
+               2 - static_cast<int>(src), topo::RouterId{}}};
+    if (broken) p.hops.resize(2);
+    mesh.paths.push_back(std::move(p));
+  }
+  return mesh;
+}
+
+TEST_F(ServerTest, BaselineWithAHoplessWorkingPathIsRefused) {
+  Client c = connect();
+  std::string error;
+  HelloResponse hello;
+  ASSERT_TRUE(expect_response(
+      c.call(Request{HelloRequest{"s", SessionConfig{}}}, &error), &hello,
+      &error))
+      << error;
+  for (std::size_t hops : {0u, 1u}) {
+    probe::Mesh hostile = two_pair_mesh();
+    hostile.paths[1].hops.resize(hops);
+    error.clear();
+    auto rsp = c.call(Request{SetBaselineRequest{"s", hostile, std::nullopt}},
+                      &error);
+    ASSERT_TRUE(rsp.has_value()) << error;
+    const auto* err = std::get_if<ErrorResponse>(&*rsp);
+    ASSERT_NE(err, nullptr) << hops << " hops accepted";
+    EXPECT_NE(err->message.find("is ok but has"), std::string::npos)
+        << err->message;
+    // The failing rounds that would fire a diagnosis on that baseline find
+    // none installed; the server keeps answering.
+    for (int round = 0; round < 3; ++round) {
+      error.clear();
+      rsp = c.call(
+          Request{ObserveRequest{"s", two_pair_mesh(true), std::nullopt}},
+          &error);
+      ASSERT_TRUE(rsp.has_value()) << error;
+      err = std::get_if<ErrorResponse>(&*rsp);
+      ASSERT_NE(err, nullptr);
+      EXPECT_EQ(err->code, kErrNoBaseline);
+    }
+  }
+  // A well-formed baseline still installs and diagnoses.
+  SetBaselineResponse set;
+  error.clear();
+  ASSERT_TRUE(expect_response(
+      c.call(Request{SetBaselineRequest{"s", two_pair_mesh(), std::nullopt}},
+             &error),
+      &set, &error))
+      << error;
+  ObserveResponse obs;
+  error.clear();
+  ASSERT_TRUE(expect_response(
+      c.call(Request{ObserveRequest{"s", two_pair_mesh(true), std::nullopt}},
+             &error),
+      &obs, &error))
+      << error;
+  EXPECT_TRUE(obs.diagnosis.has_value());
+}
+
+TEST_F(ServerTest, RoundWithMisalignedPairsIsRefused) {
+  Client c = connect();
+  std::string error;
+  HelloResponse hello;
+  ASSERT_TRUE(expect_response(
+      c.call(Request{HelloRequest{"s", SessionConfig{}}}, &error), &hello,
+      &error))
+      << error;
+  SetBaselineResponse set;
+  ASSERT_TRUE(expect_response(
+      c.call(Request{SetBaselineRequest{"s", two_pair_mesh(), std::nullopt}},
+             &error),
+      &set, &error))
+      << error;
+  // Same pair count, pairs swapped: pair 0 would be diagnosed against the
+  // baseline's pair 1.
+  probe::Mesh swapped = two_pair_mesh(true);
+  std::swap(swapped.paths[0], swapped.paths[1]);
+
+  error.clear();
+  auto rsp = c.call(Request{ObserveRequest{"s", swapped, std::nullopt}}, &error);
+  ASSERT_TRUE(rsp.has_value()) << error;
+  const auto* err = std::get_if<ErrorResponse>(&*rsp);
+  ASSERT_NE(err, nullptr);
+  EXPECT_NE(err->message.find("pair 0 is 1->0 but the baseline's is 0->1"),
+            std::string::npos)
+      << err->message;
+
+  ObserveBatchRequest batch{"s", "agent", {}, std::nullopt};
+  batch.items.push_back(ObserveItem{1, swapped, std::nullopt, std::nullopt});
+  error.clear();
+  rsp = c.call(Request{batch}, &error);
+  ASSERT_TRUE(rsp.has_value()) << error;
+  err = std::get_if<ErrorResponse>(&*rsp);
+  ASSERT_NE(err, nullptr);
+  EXPECT_NE(err->message.find("batch item seq 1 pair 0 is 1->0"),
+            std::string::npos)
+      << err->message;
+
+  // Neither round was applied: the next aligned round is the first.
+  ObserveResponse obs;
+  error.clear();
+  ASSERT_TRUE(expect_response(
+      c.call(Request{ObserveRequest{"s", two_pair_mesh(), std::nullopt}},
+             &error),
+      &obs, &error))
+      << error;
+  EXPECT_EQ(obs.round, 1u);
+}
+
 TEST_F(ServerTest, ScenarioReplayThroughSocketMatchesRecording) {
   // The acceptance property: a real scenario's recorded episodes produce
   // byte-identical diagnoses when driven through a live socket.
